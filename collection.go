@@ -961,57 +961,34 @@ func (c *Collection) execute(ctx context.Context, snap *colSnapshot, q Query, fa
 		}
 	}
 
-	// Candidates: the union of per-shard results, as global row indices.
-	k := q.SkybandK
-	if k < 1 {
-		k = 1
-	}
+	// Candidates: the union of per-shard results, as global row indices,
+	// with their raw rows for the exact merge.
 	total := 0
 	var dts uint64
 	for _, r := range results {
 		total += len(r.Indices)
 		dts += r.Stats.DominanceTests
 	}
+	d := snap.ds.d
 	cand := make([]int, 0, total)
+	rows := make([]float64, 0, total*d)
 	for si, r := range results {
 		off := snap.offs[si]
 		for _, li := range r.Indices {
-			cand = append(cand, off+li)
+			gi := off + li
+			cand = append(cand, gi)
+			rows = append(rows, snap.ds.vals[gi*d:(gi+1)*d]...)
 		}
 	}
-
-	// Re-stage the candidate rows under the query's preferences — the
-	// merge recount must compare in the same transformed space the
-	// shards computed in.
-	d := snap.ds.d
-	ops, err := q.opsInto(nil)
+	keep, counts, mdts, mergePath, err := c.eng.MergeBands(ctx, q, cand, rows, d)
 	if err != nil {
 		return Result{}, err
 	}
-	de := d
-	staged := len(ops) > 0 && !point.IdentityOps(ops)
-	if staged {
-		de = point.EffectiveDims(ops)
-	}
-	raw := make([]float64, len(cand)*d)
-	for p, gi := range cand {
-		copy(raw[p*d:(p+1)*d], snap.ds.vals[gi*d:(gi+1)*d])
-	}
-	buf := raw
-	if staged {
-		buf = make([]float64, len(cand)*de)
-		point.StagePrefs(buf, raw, len(cand), d, ops)
-	}
-
-	keep, counts, mergePath, err := c.mergeCandidates(ctx, buf, len(cand), de, k, &dts)
-	if err != nil {
-		return Result{}, err
-	}
+	dts += mdts
 	idx := make([]int, len(keep))
 	for j, p := range keep {
 		idx[j] = cand[p]
 	}
-	shard.SortByIndex(idx, counts)
 
 	res := Result{Indices: idx, Counts: counts}
 	res.Stats = Stats{
@@ -1048,36 +1025,6 @@ func (c *Collection) execute(ctx context.Context, snap *colSnapshot, q Query, fa
 		res.Trace = tr
 	}
 	return res, nil
-}
-
-// mergeCandidates computes the exact k-skyband of the nc staged
-// candidates (the union of per-shard bands), returning candidate
-// positions, exact counts (nil for k ≤ 1), and the merge-path label for
-// the trace, by whichever merge path fits the union size
-// (shard.MergeKernelMax). Both paths implement the same DESIGN.md §10
-// recount; shard.MergeBand is the reference the property tests pin.
-func (c *Collection) mergeCandidates(ctx context.Context, buf []float64, nc, de, k int, dts *uint64) ([]int, []int32, string, error) {
-	if nc <= shard.MergeKernelMax {
-		keep, counts, err := shard.MergeBand(ctx, buf, nc, de, k, dts)
-		if err != nil {
-			return nil, nil, "", canceledErr(err)
-		}
-		return keep, counts, shard.MergePathKernel, nil
-	}
-	ds, err := DatasetFromFlat(buf, nc, de)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	q := Query{}
-	if k > 1 {
-		q.SkybandK = k
-	}
-	res, err := c.eng.exec(ctx, ds, q)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	*dts += res.Stats.DominanceTests
-	return res.Indices, res.Counts, shard.MergePathEngine, nil
 }
 
 // Future is the handle of one asynchronously submitted query. Wait (or

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"skybench/internal/faults"
 	"skybench/internal/par"
 	"skybench/internal/point"
+	"skybench/internal/shard"
 	"skybench/internal/stats"
 )
 
@@ -338,6 +340,84 @@ func (e *Engine) execGuarded(ctx context.Context, ec *engineCtx, hot bool, ds *D
 		res.Trace = traceFromResult(q.Algorithm, q.SkybandK, &res)
 	}
 	return res, nil
+}
+
+// MergeBands recounts the union of per-shard bands into the exact global
+// k-skyband (DESIGN.md §10). It is the one merge behind every sharded
+// answer: the in-process Collection fan-out and the cluster coordinator
+// both gather their candidates and call it.
+//
+// cand holds the candidates' global row indices and rows their raw
+// coordinates (row-major, d per row, parallel to cand); each global
+// index must appear at most once. Only q.Prefs and q.SkybandK are read:
+// the rows are staged under the preferences — the space the shards
+// computed in — and recounted by shard.MergeBand for unions of at most
+// shard.MergeKernelMax candidates, by one engine run over the union
+// above that.
+//
+// It returns the surviving candidates as positions into cand, ordered
+// by ascending global index; their dominator counts (nil for skyline
+// queries); the dominance tests the merge performed; and the merge-path
+// label (shard.MergePathKernel or shard.MergePathEngine).
+func (e *Engine) MergeBands(ctx context.Context, q Query, cand []int, rows []float64, d int) (pos []int, counts []int32, dts uint64, path string, err error) {
+	nc := len(cand)
+	if len(rows) != nc*d {
+		return nil, nil, 0, "", fmt.Errorf("%w: %d candidate values, want %d rows of %d", ErrBadDataset, len(rows), nc, d)
+	}
+	if len(q.Prefs) != 0 && len(q.Prefs) != d {
+		return nil, nil, 0, "", fmt.Errorf("%w: %d preferences for %d dimensions", ErrBadQuery, len(q.Prefs), d)
+	}
+	if q.SkybandK < 0 {
+		return nil, nil, 0, "", fmt.Errorf("%w: negative SkybandK %d", ErrBadQuery, q.SkybandK)
+	}
+	ops, err := q.opsInto(nil)
+	if err != nil {
+		return nil, nil, 0, "", err
+	}
+	vals, de := rows, d
+	if len(ops) > 0 && !point.IdentityOps(ops) {
+		if de = point.EffectiveDims(ops); de == 0 {
+			return nil, nil, 0, "", fmt.Errorf("%w: query ignores every dimension", ErrBadQuery)
+		}
+		vals = make([]float64, nc*de)
+		point.StagePrefs(vals, rows, nc, d, ops)
+	}
+	k := max(q.SkybandK, 1)
+
+	if nc <= shard.MergeKernelMax {
+		if pos, counts, err = shard.MergeBand(ctx, vals, nc, de, k, &dts); err != nil {
+			return nil, nil, 0, "", canceledErr(err)
+		}
+		path = shard.MergePathKernel
+	} else {
+		ds, err := DatasetFromFlat(vals, nc, de)
+		if err != nil {
+			return nil, nil, 0, "", err
+		}
+		res, err := e.exec(ctx, ds, Query{SkybandK: q.SkybandK})
+		if err != nil {
+			return nil, nil, 0, "", err
+		}
+		pos, counts, dts = res.Indices, res.Counts, res.Stats.DominanceTests
+		path = shard.MergePathEngine
+	}
+
+	// Order by global index, carrying counts along by candidate position
+	// (positions are unique, so a scatter/gather replaces a pair sort).
+	var byPos []int32
+	if counts != nil {
+		byPos = make([]int32, nc)
+		for j, p := range pos {
+			byPos[p] = counts[j]
+		}
+	}
+	slices.SortFunc(pos, func(a, b int) int { return cand[a] - cand[b] })
+	if byPos != nil {
+		for j, p := range pos {
+			counts[j] = byPos[p]
+		}
+	}
+	return pos, counts, dts, path, nil
 }
 
 // runOnContext executes a hot-path query on an acquired context, with

@@ -26,14 +26,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"skybench"
-	"skybench/internal/point"
-	"skybench/internal/shard"
 	"skybench/serve"
 	"skybench/serve/client"
 )
@@ -104,9 +101,8 @@ type Config struct {
 	// ProbeInterval is the worker health-probe cadence (0 = 2s,
 	// negative = no probing; workers then stay reported healthy).
 	ProbeInterval time.Duration
-	// Engine, when set, merges unions larger than shard.MergeKernelMax
-	// through a full engine recompute instead of the quadratic flat
-	// recount — the same cutoff the in-process fan-out uses.
+	// Engine runs the exact merge of the per-worker bands
+	// (Engine.MergeBands, shared with the in-process fan-out). Required.
 	Engine *skybench.Engine
 	// HTTPClient, when set, is shared by every worker's wire client
 	// (tests inject httptest transports here). Default: one private
@@ -153,6 +149,9 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("%w: cluster config needs at least one worker", skybench.ErrBadQuery)
+	}
+	if cfg.Engine == nil {
+		return nil, fmt.Errorf("%w: cluster config needs an Engine for the merge", skybench.ErrBadQuery)
 	}
 	lo := 0
 	for i, ws := range cfg.Workers {
@@ -433,8 +432,8 @@ func (co *Coordinator) Run(ctx context.Context, q skybench.Query) (*skybench.Que
 	co.epoch.Store(epoch)
 
 	// Candidates: the union of per-worker bands as global row indices,
-	// with the shipped coordinates (and stream IDs when every worker
-	// has them) kept parallel.
+	// with the shipped coordinates (as rows and flat for the merge) and
+	// stream IDs (when every worker has them) kept parallel.
 	d := co.cfg.D
 	total, input := 0, 0
 	var dts uint64
@@ -452,6 +451,7 @@ func (co *Coordinator) Run(ctx context.Context, q skybench.Query) (*skybench.Que
 	}
 	candIdx := make([]int, 0, total)
 	candVals := make([][]float64, 0, total)
+	raw := make([]float64, 0, total*d)
 	var candIDs []uint64
 	if hasIDs {
 		candIDs = make([]uint64, 0, total)
@@ -464,51 +464,19 @@ func (co *Coordinator) Run(ctx context.Context, q skybench.Query) (*skybench.Que
 		for j, li := range out.resp.Indices {
 			candIdx = append(candIdx, off+li)
 			candVals = append(candVals, out.resp.Values[j])
+			raw = append(raw, out.resp.Values[j]...)
 			if hasIDs {
 				candIDs = append(candIDs, out.resp.IDs[j])
 			}
 		}
 	}
 
-	// Re-stage the candidates under the query's preferences — the
-	// recount must compare in the same transformed space the workers
-	// computed in — then run the same exact merge as the in-process
-	// fan-out.
-	k := q.SkybandK
-	if k < 1 {
-		k = 1
-	}
-	nc := len(candIdx)
-	raw := make([]float64, nc*d)
-	for p, vals := range candVals {
-		copy(raw[p*d:(p+1)*d], vals)
-	}
-	buf, de := raw, d
-	if len(q.Prefs) == d {
-		ops := make([]point.PrefOp, d)
-		identity := true
-		for i, p := range q.Prefs {
-			switch p {
-			case skybench.Max:
-				ops[i] = point.PrefNegate
-				identity = false
-			case skybench.Ignore:
-				ops[i] = point.PrefDrop
-				identity = false
-			default:
-				ops[i] = point.PrefKeep
-			}
-		}
-		if !identity {
-			de = point.EffectiveDims(ops)
-			buf = make([]float64, nc*de)
-			point.StagePrefs(buf, raw, nc, d, ops)
-		}
-	}
-	keep, counts, mergePath, err := co.merge(ctx, buf, nc, de, k, &dts)
+	// The same exact merge as the in-process fan-out.
+	keep, counts, mdts, mergePath, err := co.cfg.Engine.MergeBands(ctx, q, candIdx, raw, d)
 	if err != nil {
 		return nil, err
 	}
+	dts += mdts
 
 	idx := make([]int, len(keep))
 	rows := make([][]float64, len(keep))
@@ -523,7 +491,6 @@ func (co *Coordinator) Run(ctx context.Context, q skybench.Query) (*skybench.Que
 			ids[j] = candIDs[p]
 		}
 	}
-	sortResult(idx, counts, rows, ids)
 
 	res := skybench.Result{Indices: idx, Counts: counts}
 	res.Stats = skybench.Stats{
@@ -610,7 +577,8 @@ func (co *Coordinator) callWorker(ctx context.Context, w *worker, req *serve.Que
 
 // validateResp guards the merge against a worker whose answer cannot
 // be combined soundly: a row count that drifted from the placement, a
-// stale (cross-epoch) degraded answer, or a malformed response shape.
+// stale (cross-epoch) degraded answer, a row outside the shard or
+// repeated within it, or a malformed response shape.
 func validateResp(w *worker, resp *serve.QueryResponse, d int) error {
 	want := w.spec.Hi - w.spec.Lo
 	if resp.Stats.InputSize != want {
@@ -626,75 +594,19 @@ func validateResp(w *worker, resp *serve.QueryResponse, d int) error {
 	if resp.Counts != nil && len(resp.Counts) != len(resp.Indices) {
 		return fmt.Errorf("worker %s returned %d counts for %d indices", w.spec.Addr, len(resp.Counts), len(resp.Indices))
 	}
+	seen := make([]uint64, (want+63)/64)
 	for j, li := range resp.Indices {
 		if li < 0 || li >= want {
 			return fmt.Errorf("%w: worker %s returned row %d outside its %d-row shard",
 				skybench.ErrEpochSkew, w.spec.Addr, li, want)
 		}
+		if seen[li/64]&(1<<(li%64)) != 0 {
+			return fmt.Errorf("%w: worker %s returned row %d twice", skybench.ErrEpochSkew, w.spec.Addr, li)
+		}
+		seen[li/64] |= 1 << (li % 64)
 		if len(resp.Values[j]) != d {
 			return fmt.Errorf("worker %s returned a %d-dimensional row, want %d", w.spec.Addr, len(resp.Values[j]), d)
 		}
 	}
 	return nil
-}
-
-// merge recounts the candidate union into the exact global band: the
-// shared flat kernel for small unions, a full engine recompute for
-// large ones when an Engine was configured — the same cutoff and the
-// same DESIGN.md §10 recount as the in-process fan-out.
-func (co *Coordinator) merge(ctx context.Context, buf []float64, nc, de, k int, dts *uint64) ([]int, []int32, string, error) {
-	if nc <= shard.MergeKernelMax || co.cfg.Engine == nil {
-		keep, counts, err := shard.MergeBand(ctx, buf, nc, de, k, dts)
-		if err != nil {
-			return nil, nil, "", wrapCtxErr(err)
-		}
-		return keep, counts, shard.MergePathKernel, nil
-	}
-	ds, err := skybench.DatasetFromFlat(buf, nc, de)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	var q skybench.Query
-	if k > 1 {
-		q.SkybandK = k
-	}
-	res, err := co.cfg.Engine.Run(ctx, ds, q)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	*dts += res.Stats.DominanceTests
-	return res.Indices, res.Counts, shard.MergePathEngine, nil
-}
-
-// sortResult orders the merged result by ascending global row index,
-// keeping counts, rows, and ids parallel — the same deterministic
-// order shard.SortByIndex gives in-process sharded results.
-func sortResult(idx []int, counts []int32, rows [][]float64, ids []uint64) {
-	order := make([]int, len(idx))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return idx[order[a]] < idx[order[b]] })
-	idx2 := make([]int, len(idx))
-	rows2 := make([][]float64, len(rows))
-	for p, o := range order {
-		idx2[p] = idx[o]
-		rows2[p] = rows[o]
-	}
-	copy(idx, idx2)
-	copy(rows, rows2)
-	if counts != nil {
-		cnt2 := make([]int32, len(counts))
-		for p, o := range order {
-			cnt2[p] = counts[o]
-		}
-		copy(counts, cnt2)
-	}
-	if ids != nil {
-		ids2 := make([]uint64, len(ids))
-		for p, o := range order {
-			ids2[p] = ids[o]
-		}
-		copy(ids, ids2)
-	}
 }

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -40,6 +42,14 @@ func startWorker(t *testing.T, flat []float64, n, d int) string {
 	return hs.URL
 }
 
+// testEngine returns a merge Engine that is closed when the test ends.
+func testEngine(t *testing.T) *skybench.Engine {
+	t.Helper()
+	eng := skybench.NewEngine(2)
+	t.Cleanup(eng.Close)
+	return eng
+}
+
 // startCluster shards flat row-wise across nw workers and returns a
 // Coordinator over them (probing disabled for determinism).
 func startCluster(t *testing.T, flat []float64, n, d, nw int, policy Policy) *Coordinator {
@@ -55,6 +65,7 @@ func startCluster(t *testing.T, flat []float64, n, d, nw int, policy Policy) *Co
 		Workers:       specs,
 		Policy:        policy,
 		ProbeInterval: -1,
+		Engine:        testEngine(t),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -87,12 +98,22 @@ func reference(t *testing.T, flat []float64, n, d int, q skybench.Query) *skyben
 // global index — the single-shard engine path reports algorithm order,
 // so comparisons normalize both sides to the cluster's sorted order.
 func canonical(r *skybench.QueryResult) ([]int, []int32) {
-	idx := append([]int(nil), r.Indices...)
+	order := make([]int, len(r.Indices))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return r.Indices[order[a]] < r.Indices[order[b]] })
+	idx := make([]int, len(order))
 	var counts []int32
 	if r.Counts != nil {
-		counts = append([]int32(nil), r.Counts...)
+		counts = make([]int32, len(order))
 	}
-	shard.SortByIndex(idx, counts)
+	for p, o := range order {
+		idx[p] = r.Indices[o]
+		if counts != nil {
+			counts[p] = r.Counts[o]
+		}
+	}
 	return idx, counts
 }
 
@@ -242,7 +263,8 @@ func TestClusterThroughStore(t *testing.T) {
 }
 
 // TestEpochSkewRejected pins the merge-safety rule: workers answering
-// at different membership epochs are rejected, not merged.
+// at different membership epochs, or repeating a row, are rejected, not
+// merged.
 func TestEpochSkewRejected(t *testing.T) {
 	const d = 2
 	rows := [][][]float64{
@@ -274,7 +296,7 @@ func TestEpochSkewRejected(t *testing.T) {
 		specs = append(specs, WorkerSpec{Addr: hs.URL, Lo: lo, Hi: lo + len(shardRows)})
 		lo += len(shardRows)
 	}
-	co, err := New(Config{Collection: "c", D: d, Workers: specs, ProbeInterval: -1})
+	co, err := New(Config{Collection: "c", D: d, Workers: specs, ProbeInterval: -1, Engine: testEngine(t)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -282,6 +304,29 @@ func TestEpochSkewRejected(t *testing.T) {
 	_, err = co.Run(context.Background(), skybench.Query{})
 	if !errors.Is(err, skybench.ErrEpochSkew) {
 		t.Fatalf("err = %v, want ErrEpochSkew", err)
+	}
+
+	// A worker that repeats a row of its shard is rejected the same way
+	// as one answering outside it: the repeat must not be merged.
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(serve.QueryResponse{
+			Collection: "c",
+			Count:      2,
+			Indices:    []int{0, 0},
+			Values:     [][]float64{rows[0][0], rows[0][0]},
+			Stats:      serve.QueryStats{InputSize: len(rows[0])},
+		})
+	}))
+	defer fake.Close()
+	dup, err := New(Config{Collection: "c", D: d, ProbeInterval: -1, Engine: testEngine(t),
+		Workers: []WorkerSpec{{Addr: fake.URL, Lo: 0, Hi: len(rows[0])}}})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer dup.Close()
+	if res, err := dup.Run(context.Background(), skybench.Query{}); !errors.Is(err, skybench.ErrEpochSkew) {
+		t.Fatalf("repeated row: err = %v (result %v), want ErrEpochSkew", err, res)
 	}
 }
 
@@ -314,7 +359,7 @@ func TestPolicies(t *testing.T) {
 		co, err := New(Config{
 			Collection: "c", D: d, Workers: specs,
 			Policy: policy, Retries: 1, Backoff: time.Millisecond,
-			ProbeInterval: -1,
+			ProbeInterval: -1, Engine: testEngine(t),
 		})
 		if err != nil {
 			t.Fatalf("New: %v", err)
@@ -429,6 +474,7 @@ func TestDeadlineForwarding(t *testing.T) {
 		Workers:       []WorkerSpec{{Addr: proxy.URL, Lo: 0, Hi: n}},
 		Margin:        margin,
 		ProbeInterval: -1,
+		Engine:        testEngine(t),
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -476,42 +522,73 @@ func TestDeadlineForwarding(t *testing.T) {
 	mu.Unlock()
 }
 
-// TestEngineMergePath checks the large-union merge falls back to a full
-// engine recompute above the kernel cutoff and agrees with the kernel.
+// TestEngineMergePath drives the shared merge routine the coordinator
+// calls, Engine.MergeBands, on both sides of the kernel cutoff: the
+// merge must report its path, order survivors by ascending global index,
+// and match an unsharded Engine.Run over the same rows, counts included.
 func TestEngineMergePath(t *testing.T) {
-	// All points on an anti-diagonal: pairwise incomparable, so the
-	// merged band is everything and both paths must agree exactly.
-	nc := shard.MergeKernelMax + 101
-	buf := make([]float64, 0, nc*2)
-	for i := 0; i < nc; i++ {
-		buf = append(buf, float64(i), float64(nc-i))
+	const d = 3
+	eng := testEngine(t)
+	prefCases := map[string][]skybench.Pref{
+		"min":        nil,
+		"max-ignore": {skybench.Max, skybench.Ignore, skybench.Min},
 	}
-	eng := skybench.NewEngine(2)
-	defer eng.Close()
-
-	co := &Coordinator{cfg: Config{Engine: eng, D: 2}}
-	var dts uint64
-	keep, _, path, err := co.merge(context.Background(), buf, nc, 2, 1, &dts)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
+	for _, tc := range []struct {
+		nc   int
+		path string
+	}{
+		{shard.MergeKernelMax / 2, shard.MergePathKernel},
+		{shard.MergeKernelMax + 101, shard.MergePathEngine},
+	} {
+		rows := dataset.Generate(dataset.Anticorrelated, tc.nc, d, int64(tc.nc)).Flat()
+		// Global indices deliberately out of order, as a gathered union's are.
+		cand := make([]int, tc.nc)
+		for p := range cand {
+			cand[p] = (p*7919)%tc.nc*2 + 5
+		}
+		ds, err := skybench.DatasetFromFlat(rows, tc.nc, d)
+		if err != nil {
+			t.Fatalf("DatasetFromFlat: %v", err)
+		}
+		for _, k := range []int{1, 3} {
+			for pn, prefs := range prefCases {
+				t.Run(fmt.Sprintf("%s-k%d-%s", tc.path, k, pn), func(t *testing.T) {
+					q := skybench.Query{SkybandK: k, Prefs: prefs}
+					pos, counts, dts, path, err := eng.MergeBands(context.Background(), q, cand, rows, d)
+					if err != nil {
+						t.Fatalf("MergeBands: %v", err)
+					}
+					if path != tc.path {
+						t.Fatalf("path = %q, want %q for a %d-candidate union", path, tc.path, tc.nc)
+					}
+					if dts == 0 {
+						t.Fatal("merge reported no dominance tests")
+					}
+					for j := 1; j < len(pos); j++ {
+						if cand[pos[j-1]] >= cand[pos[j]] {
+							t.Fatalf("survivors not in ascending global order at %d: %d then %d", j, cand[pos[j-1]], cand[pos[j]])
+						}
+					}
+					ref, err := eng.Run(context.Background(), ds, q)
+					if err != nil {
+						t.Fatalf("reference Run: %v", err)
+					}
+					got := &skybench.QueryResult{Result: skybench.Result{Indices: make([]int, len(pos)), Counts: counts}}
+					for j, p := range pos {
+						got.Indices[j] = cand[p]
+					}
+					want := &skybench.QueryResult{Result: skybench.Result{Indices: make([]int, len(ref.Indices)), Counts: ref.Counts}}
+					for j, p := range ref.Indices {
+						want.Indices[j] = cand[p]
+					}
+					sameResult(t, got, want, path)
+				})
+			}
+		}
 	}
-	if path != shard.MergePathEngine {
-		t.Fatalf("path = %q, want %q above the kernel cutoff", path, shard.MergePathEngine)
-	}
-	if len(keep) != nc {
-		t.Fatalf("engine merge kept %d of %d incomparable points", len(keep), nc)
-	}
-
-	noEng := &Coordinator{cfg: Config{D: 2}}
-	keep2, _, path2, err := noEng.merge(context.Background(), buf, nc, 2, 1, &dts)
-	if err != nil {
-		t.Fatalf("kernel merge: %v", err)
-	}
-	if path2 != shard.MergePathKernel {
-		t.Fatalf("path = %q, want %q without an engine", path2, shard.MergePathKernel)
-	}
-	if len(keep2) != len(keep) {
-		t.Fatalf("kernel kept %d, engine kept %d", len(keep2), len(keep))
+	bad := skybench.Query{Prefs: []skybench.Pref{skybench.Min, skybench.Pref(99), skybench.Min}}
+	if _, _, _, _, err := eng.MergeBands(context.Background(), bad, []int{0}, []float64{1, 2, 3}, d); !errors.Is(err, skybench.ErrBadQuery) {
+		t.Fatalf("invalid preference: err = %v, want ErrBadQuery", err)
 	}
 }
 
@@ -561,7 +638,7 @@ func TestDistribute(t *testing.T) {
 		t.Fatalf("re-distribute with Replace: %v", err)
 	}
 
-	co, err := New(Config{Collection: "c", D: d, Workers: specs, ProbeInterval: -1})
+	co, err := New(Config{Collection: "c", D: d, Workers: specs, ProbeInterval: -1, Engine: testEngine(t)})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -581,8 +658,8 @@ func TestDistribute(t *testing.T) {
 	sameResult(t, got, want, "distribute")
 }
 
-// TestConfigValidation pins placement validation: gaps, overlaps, and
-// empty ranges are construction-time errors.
+// TestConfigValidation pins config validation: gaps, overlaps, empty
+// ranges, and a missing merge Engine are construction-time errors.
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{D: 2, Workers: []WorkerSpec{{Addr: "x", Lo: 0, Hi: 5}}},            // no name
@@ -593,6 +670,7 @@ func TestConfigValidation(t *testing.T) {
 		{Collection: "c", D: 2, Workers: []WorkerSpec{{Addr: "x", Lo: 0, Hi: 5}, {Addr: "y", Lo: 6, Hi: 8}}}, // gap
 		{Collection: "c", D: 2, Workers: []WorkerSpec{{Addr: "x", Lo: 0, Hi: 5}, {Addr: "y", Lo: 4, Hi: 8}}}, // overlap
 		{Collection: "c", D: 2, Workers: []WorkerSpec{{Lo: 0, Hi: 5}}},                                       // no addr
+		{Collection: "c", D: 2, Workers: []WorkerSpec{{Addr: "x", Lo: 0, Hi: 5}}},                            // no engine
 	}
 	for i, cfg := range bad {
 		cfg.ProbeInterval = -1
@@ -600,7 +678,7 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatalf("config %d: err = %v, want ErrBadQuery", i, err)
 		}
 	}
-	co, err := New(Config{Collection: "c", D: 2, ProbeInterval: -1,
+	co, err := New(Config{Collection: "c", D: 2, ProbeInterval: -1, Engine: testEngine(t),
 		Workers: []WorkerSpec{{Addr: "x", Lo: 0, Hi: 5}, {Addr: "y", Lo: 5, Hi: 8}}})
 	if err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -614,7 +692,7 @@ func TestConfigValidation(t *testing.T) {
 // TestUnforwardableQueries pins the wire boundary: progressive delivery
 // and ablation flags cannot cross it.
 func TestUnforwardableQueries(t *testing.T) {
-	co, err := New(Config{Collection: "c", D: 2, ProbeInterval: -1,
+	co, err := New(Config{Collection: "c", D: 2, ProbeInterval: -1, Engine: testEngine(t),
 		Workers: []WorkerSpec{{Addr: "http://127.0.0.1:1", Lo: 0, Hi: 5}}})
 	if err != nil {
 		t.Fatalf("New: %v", err)

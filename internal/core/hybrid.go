@@ -125,7 +125,7 @@ func (c *Context) Hybrid(m point.Matrix, opt HybridOptions) []int {
 	} else {
 		surv = c.pf.Filter(m, c.l1, opt.Beta, k, c.pool, c.tEff, c.dts)
 	}
-	st.Cost.PrefilterPruned = n - len(surv)
+	st.PrefilterPruned = n - len(surv)
 	timer.Stop(stats.PhasePrefilt)
 	if c.canceled() {
 		return nil
@@ -162,7 +162,7 @@ func (c *Context) Hybrid(m point.Matrix, opt HybridOptions) []int {
 	}
 	c.sortRunsByL1(idx)
 	applyPerm(idx, c.work, d, c.wl1, c.wmask, c.worig)
-	st.Cost.Sort += time.Since(sortStart)
+	st.Sort += time.Since(sortStart)
 	timer.Stop(stats.PhaseInit)
 
 	c.sky.reset(d)
@@ -205,7 +205,7 @@ func (c *Context) Hybrid(m point.Matrix, opt HybridOptions) []int {
 		timer.Stop(stats.PhaseOne)
 
 		surv1 := compress(wk, c.wl1, c.worig, c.wmask, bcnt, lo, block, f)
-		st.Cost.Phase1Survivors += surv1
+		st.Phase1Survivors += surv1
 		timer.Stop(stats.PhaseCompress)
 
 		// Phase II (parallel, Algorithm 4): three-loop peer comparison.
@@ -214,7 +214,7 @@ func (c *Context) Hybrid(m point.Matrix, opt HybridOptions) []int {
 		timer.Stop(stats.PhaseTwo)
 
 		final := compress(wk, c.wl1, c.worig, c.wmask, bcnt, lo, surv1, f)
-		st.Cost.Phase2Survivors += final
+		st.Phase2Survivors += final
 		timer.Stop(stats.PhaseCompress)
 
 		// Update S and M(S) (Algorithm 2) — sequential O(α) work.

@@ -100,7 +100,7 @@ func (c *Context) QFlow(m point.Matrix, opt QFlowOptions) []int {
 	c.forRanges(n, c.keyBody)
 	sortStart := time.Now()
 	order := c.radixSortIdx(n, 64)
-	st.Cost.Sort += time.Since(sortStart)
+	st.Sort += time.Since(sortStart)
 	if c.canceled() {
 		return nil
 	}
@@ -161,7 +161,7 @@ func (c *Context) QFlow(m point.Matrix, opt QFlowOptions) []int {
 
 		// Compression: shift survivors left, re-establishing contiguity.
 		surv := compress(wk, c.wl1, c.worig, nil, bcnt, lo, block, f)
-		st.Cost.Phase1Survivors += surv
+		st.Phase1Survivors += surv
 		timer.Stop(stats.PhaseCompress)
 
 		// Phase II (parallel): compare each survivor to preceding
@@ -172,7 +172,7 @@ func (c *Context) QFlow(m point.Matrix, opt QFlowOptions) []int {
 		timer.Stop(stats.PhaseTwo)
 
 		final := compress(wk, c.wl1, c.worig, nil, bcnt, lo, surv, f)
-		st.Cost.Phase2Survivors += final
+		st.Phase2Survivors += final
 		timer.Stop(stats.PhaseCompress)
 
 		// Append the block's confirmed skyline points to the global

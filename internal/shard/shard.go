@@ -40,15 +40,15 @@ import (
 // through a full engine run over the candidate union instead of
 // MergeBand's quadratic prefix scan — on low-correlation data the band
 // is a large fraction of the input and the engine's partition index
-// prunes the cross-candidate tests the flat scan cannot. Both merge
-// call sites (the Collection fan-out and the stream's shard-aware
-// rebuild) share this cutoff so the two paths cannot drift.
+// prunes the cross-candidate tests the flat scan cannot. The one merge
+// routine, skybench's Engine.MergeBands, applies the cutoff for both the
+// in-process Collection fan-out and the cluster coordinator.
 const MergeKernelMax = 1024
 
 // Merge-path labels recorded in query traces and metrics: which of the
-// two exact-merge implementations combined the per-shard bands. Both
-// call sites and the trace layer share these strings so the vocabulary
-// cannot drift.
+// two exact-merge implementations combined the per-shard bands. The
+// merge routine and the trace layer share these strings so the
+// vocabulary cannot drift.
 const (
 	// MergePathKernel is MergeBand's flat quadratic prefix recount
 	// (unions of at most MergeKernelMax candidates).
@@ -91,31 +91,6 @@ func Split(n, p int) []Range {
 		lo = hi
 	}
 	return out
-}
-
-// SortByIndex orders a merged result by ascending global row index,
-// keeping counts (nil for skyline queries) parallel — the documented
-// deterministic order of sharded results. Both merge consumers — the
-// in-process Collection fan-out and the cluster coordinator — share it
-// so the ordering contract cannot drift between the two transports.
-func SortByIndex(idx []int, counts []int32) {
-	if counts == nil {
-		sort.Ints(idx)
-		return
-	}
-	order := make([]int, len(idx))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return idx[order[a]] < idx[order[b]] })
-	idx2 := make([]int, len(idx))
-	cnt2 := make([]int32, len(counts))
-	for p, o := range order {
-		idx2[p] = idx[o]
-		cnt2[p] = counts[o]
-	}
-	copy(idx, idx2)
-	copy(counts, cnt2)
 }
 
 // MergeBand computes the exact k-skyband of the nc candidate points

@@ -11,8 +11,6 @@ import (
 	"sort"
 	"strings"
 	"time"
-
-	"skybench/internal/trace"
 )
 
 // Phase identifies one component of an algorithm's execution, matching the
@@ -60,9 +58,27 @@ type Stats struct {
 	InputSize int
 	// Threads is the thread count the run was configured with.
 	Threads int
-	// Cost holds the extended work counters behind query tracing
-	// (prefilter prune hits, per-phase survivors, sort time).
-	Cost trace.Cost
+
+	// The counters below are the extended work measurements behind query
+	// tracing and the planner's cost model. The core algorithms write
+	// them unconditionally as plain stores, so they cost no allocations.
+
+	// PrefilterPruned is the number of input points discarded by the
+	// β-queue prefilter before the main algorithm ran (zero for Q-Flow
+	// and for prefilter-disabled ablations).
+	PrefilterPruned int
+	// Phase1Survivors is the total number of block points that survived
+	// Phase I (the comparison against the global skyline) across all
+	// α-blocks — the workload Phase II actually sees.
+	Phase1Survivors int
+	// Phase2Survivors is the total number of points that survived
+	// Phase II (the peer comparison) across all α-blocks; for a run
+	// that completes this equals the output size.
+	Phase2Survivors int
+	// Sort is the wall-clock time of the sort step (Hybrid's three-key
+	// radix + per-run L1 sorts, Q-Flow's L1 radix sort), a subset of
+	// the init phase that the paper's phase decomposition folds away.
+	Sort time.Duration
 }
 
 // Total returns the summed wall-clock time across phases.
@@ -80,7 +96,10 @@ func (s *Stats) Add(other *Stats) {
 	for i := range s.Phases {
 		s.Phases[i] += other.Phases[i]
 	}
-	s.Cost.Add(other.Cost)
+	s.PrefilterPruned += other.PrefilterPruned
+	s.Phase1Survivors += other.Phase1Survivors
+	s.Phase2Survivors += other.Phase2Survivors
+	s.Sort += other.Sort
 }
 
 // Scale divides all additive metrics by k (completing an average).
@@ -92,7 +111,10 @@ func (s *Stats) Scale(k int) {
 	for i := range s.Phases {
 		s.Phases[i] /= time.Duration(k)
 	}
-	s.Cost.Scale(k)
+	s.PrefilterPruned /= k
+	s.Phase1Survivors /= k
+	s.Phase2Survivors /= k
+	s.Sort /= time.Duration(k)
 }
 
 // String renders a compact one-line summary.

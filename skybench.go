@@ -464,10 +464,10 @@ func assembleResult(idx []int, st *stats.Stats, n int, elapsed time.Duration) Re
 			SkylineSize:     len(idx),
 			InputSize:       n,
 			Threads:         st.Threads,
-			PrefilterPruned: st.Cost.PrefilterPruned,
-			Phase1Survivors: st.Cost.Phase1Survivors,
-			Phase2Survivors: st.Cost.Phase2Survivors,
-			SortTime:        st.Cost.Sort,
+			PrefilterPruned: st.PrefilterPruned,
+			Phase1Survivors: st.Phase1Survivors,
+			Phase2Survivors: st.Phase2Survivors,
+			SortTime:        st.Sort,
 			Elapsed:         elapsed,
 			Timings: PhaseTimings{
 				Init:      st.Phases[stats.PhaseInit],

@@ -134,6 +134,9 @@ func runEngineOracleOps(t *testing.T, eng *skybench.Engine, d, k int, prefs []sk
 	if ix.Len() != len(liveIDs) {
 		t.Fatalf("Len %d, want %d", ix.Len(), len(liveIDs))
 	}
+	if ix.Stats().Rebuilds == 0 {
+		t.Fatal("workload never escalated: the engine-rebuild path went unchecked")
+	}
 }
 
 // TestSkybandIndexMatchesEngineOracle extends the cross-surface
