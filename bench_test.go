@@ -42,17 +42,17 @@ func benchData(dist dataset.Distribution, n, d int) point.Matrix {
 	return m
 }
 
-func runAlg(b *testing.B, alg skybench.Algorithm, m point.Matrix, threads int, mut func(*skybench.Options)) {
+func runAlg(b *testing.B, alg skybench.Algorithm, m point.Matrix, threads int, mut func(*skybench.Query)) {
 	b.Helper()
 	rows := m.Rows()
-	opt := skybench.Options{Algorithm: alg, Threads: threads}
+	q := skybench.Query{Algorithm: alg, Threads: threads}
 	if mut != nil {
-		mut(&opt)
+		mut(&q)
 	}
 	var last skybench.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := skybench.Compute(rows, opt)
+		res, err := runOnce(rows, q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func BenchmarkFig7AlphaQFlow(b *testing.B) {
 		m := benchData(dist, benchN, benchD)
 		for _, alpha := range []int{1 << 7, 1 << 10, 1 << 13, 1 << 16} {
 			b.Run(fmt.Sprintf("dist=%s/alpha=%d", dist, alpha), func(b *testing.B) {
-				runAlg(b, skybench.QFlow, m, 4, func(o *skybench.Options) { o.Alpha = alpha })
+				runAlg(b, skybench.QFlow, m, 4, func(q *skybench.Query) { q.Alpha = alpha })
 			})
 		}
 	}
@@ -162,7 +162,7 @@ func BenchmarkFig8AlphaHybrid(b *testing.B) {
 		m := benchData(dist, benchN, benchD)
 		for _, alpha := range []int{1 << 7, 1 << 10, 1 << 13, 1 << 16} {
 			b.Run(fmt.Sprintf("dist=%s/alpha=%d", dist, alpha), func(b *testing.B) {
-				runAlg(b, skybench.Hybrid, m, 4, func(o *skybench.Options) { o.Alpha = alpha })
+				runAlg(b, skybench.Hybrid, m, 4, func(q *skybench.Query) { q.Alpha = alpha })
 			})
 		}
 	}
@@ -180,10 +180,10 @@ func BenchmarkFig9PivotSelection(b *testing.B) {
 		for _, p := range pivots {
 			p := p
 			b.Run(fmt.Sprintf("alpha=%d/pivot=%s", alpha, p), func(b *testing.B) {
-				runAlg(b, skybench.Hybrid, m, 4, func(o *skybench.Options) {
-					o.Alpha = alpha
-					o.Pivot = p
-					o.Seed = 42
+				runAlg(b, skybench.Hybrid, m, 4, func(q *skybench.Query) {
+					q.Alpha = alpha
+					q.Pivot = p
+					q.Seed = 42
 				})
 			})
 		}
@@ -267,7 +267,7 @@ func BenchmarkAblationHybridComponents(b *testing.B) {
 	for _, v := range variants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			runAlg(b, skybench.Hybrid, m, 4, func(o *skybench.Options) { o.Ablation = v.ab })
+			runAlg(b, skybench.Hybrid, m, 4, func(q *skybench.Query) { q.Ablation = v.ab })
 		})
 	}
 }
@@ -297,17 +297,22 @@ const (
 )
 
 // benchDefault times one hot-path algorithm on the acceptance workload
-// through a reused Context (the serving configuration): steady-state
-// zero-allocation runs on a persistent worker pool.
+// through a warm Engine with ReuseIndices (the serving configuration):
+// steady-state zero-allocation runs on a persistent worker pool.
 func benchDefault(b *testing.B, alg skybench.Algorithm) {
 	m := benchData(dataset.Independent, defaultN, defaultD)
-	ctx := skybench.NewContext()
-	defer ctx.Close()
-	opt := skybench.Options{Algorithm: alg, Threads: defaultThreads}
+	ds, err := skybench.DatasetFromFlat(m.Flat(), m.N(), m.D())
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := skybench.NewEngine(defaultThreads)
+	defer eng.Close()
+	q := skybench.Query{Algorithm: alg, ReuseIndices: true}
+	ctx := context.Background()
 	var last skybench.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := ctx.ComputeFlat(m.Flat(), m.N(), m.D(), opt)
+		res, err := eng.Run(ctx, ds, q)
 		if err != nil {
 			b.Fatal(err)
 		}

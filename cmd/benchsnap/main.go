@@ -109,12 +109,15 @@ func main() {
 		}
 	}
 
-	ctx := skybench.NewContext()
-	defer ctx.Close()
 	eng := skybench.NewEngine(*t)
 	defer eng.Close()
 	for _, dist := range dataset.AllDistributions {
 		m := dataset.Generate(dist, *n, *d, *seed)
+		ds, err := skybench.DatasetFromFlat(m.Flat(), m.N(), m.D())
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchsnap:", err)
+			os.Exit(1)
+		}
 		for _, alg := range algos {
 			e := entry{
 				Algorithm: alg.String(), Dist: dist.String(),
@@ -123,8 +126,8 @@ func main() {
 			var total time.Duration
 			best := time.Duration(0)
 			for r := 0; r < *reps; r++ {
-				res, err := ctx.ComputeFlat(m.Flat(), m.N(), m.D(),
-					skybench.Options{Algorithm: alg, Threads: *t})
+				res, err := eng.Run(context.Background(), ds,
+					skybench.Query{Algorithm: alg, ReuseIndices: true})
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "benchsnap: %s/%s: %v\n", alg, dist, err)
 					os.Exit(1)
@@ -147,11 +150,6 @@ func main() {
 		// Skyband cost curve: the same workload through the k-skyband
 		// query path (Hybrid and QFlow only — the baselines don't count
 		// dominators).
-		ds, err := skybench.DatasetFromFlat(m.Flat(), m.N(), m.D())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchsnap:", err)
-			os.Exit(1)
-		}
 		for _, alg := range []skybench.Algorithm{skybench.Hybrid, skybench.QFlow} {
 			for _, k := range ks {
 				e := entry{

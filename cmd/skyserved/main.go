@@ -50,6 +50,16 @@ func (m *multiFlag) Set(v string) error {
 	return nil
 }
 
+// Connection timeouts. Headers must arrive promptly and idle keep-alive
+// connections are reaped; there is deliberately no whole-request read
+// or write timeout, since delta subscriptions stream for as long as the
+// client listens and large queries legitimately run long (their budget
+// is the per-request deadline header).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("skyserved: ")
@@ -137,7 +147,11 @@ func main() {
 		log.Printf("pprof enabled under /debug/pprof/")
 	}
 
-	hs := &http.Server{Handler: handler}
+	hs := &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

@@ -24,47 +24,24 @@ type Dataset struct {
 }
 
 // NewDataset validates rows (every point must have the same nonzero
-// dimensionality, at most MaxDims) and copies them into a new Dataset.
-// An empty input yields an empty Dataset, over which every query returns
-// an empty skyline.
+// dimensionality, at most MaxDims, and finite values) and copies them
+// into a new Dataset. An empty input yields an empty Dataset, over which
+// every query returns an empty skyline.
 func NewDataset(rows [][]float64) (*Dataset, error) {
 	if len(rows) == 0 {
 		return &Dataset{}, nil
 	}
-	d, err := validateRows(rows)
-	if err != nil {
-		return nil, err
+	d := len(rows[0])
+	for i, row := range rows {
+		if len(row) != d {
+			return nil, fmt.Errorf("%w: point %d has %d dimensions, want %d", ErrBadDataset, i, len(row), d)
+		}
 	}
 	vals := make([]float64, len(rows)*d)
 	for i, row := range rows {
 		copy(vals[i*d:(i+1)*d], row)
 	}
-	return &Dataset{vals: vals, n: len(rows), d: d}, nil
-}
-
-// validateRows checks a non-empty row-of-slices input (consistent,
-// nonzero, supported dimensionality; finite values) and returns its
-// dimensionality. Shared by NewDataset and the legacy Context.Compute so
-// the two surfaces cannot drift.
-func validateRows(rows [][]float64) (int, error) {
-	d := len(rows[0])
-	if d == 0 {
-		return 0, fmt.Errorf("%w: points must have at least one dimension", ErrBadDataset)
-	}
-	for i, row := range rows {
-		if len(row) != d {
-			return 0, fmt.Errorf("%w: point %d has %d dimensions, want %d", ErrBadDataset, i, len(row), d)
-		}
-		for j, v := range row {
-			if !point.Finite(v) {
-				return 0, fmt.Errorf("%w: point %d has non-finite value %v on dimension %d", ErrBadDataset, i, v, j)
-			}
-		}
-	}
-	if d > point.MaxDims {
-		return 0, fmt.Errorf("%w: at most %d dimensions supported, got %d", ErrBadDataset, point.MaxDims, d)
-	}
-	return d, nil
+	return DatasetFromFlat(vals, len(rows), d)
 }
 
 // DatasetFromFlat builds a Dataset around n points of d dimensions
@@ -77,37 +54,30 @@ func validateRows(rows [][]float64) (int, error) {
 // long as the Dataset (or any Result computed over it) is in use.
 // Callers that cannot guarantee that should use NewDataset, which
 // always copies.
+//
+// Values must be finite: NaN poisons dominance tests — every comparison
+// against it is false, so a NaN point is never dominated and never
+// dominates — and ±Inf breaks the L1-norm filters and the
+// Max-preference negation.
 func DatasetFromFlat(vals []float64, n, d int) (*Dataset, error) {
 	if n == 0 {
 		return &Dataset{}, nil
 	}
-	if err := validateFlat(vals, n, d); err != nil {
-		return nil, err
-	}
-	return &Dataset{vals: vals, n: n, d: d}, nil
-}
-
-// validateFlat checks a non-empty flat row-major input (shape plus
-// finite values: NaN poisons dominance tests — every comparison against
-// it is false, so a NaN point is never dominated and never dominates —
-// and ±Inf breaks the L1-norm filters and the Max-preference negation).
-// Shared by DatasetFromFlat and the legacy Context.ComputeFlat.
-func validateFlat(vals []float64, n, d int) error {
 	if d <= 0 {
-		return fmt.Errorf("%w: points must have at least one dimension", ErrBadDataset)
+		return nil, fmt.Errorf("%w: points must have at least one dimension", ErrBadDataset)
 	}
 	if len(vals) != n*d {
-		return fmt.Errorf("%w: flat input has %d values, want n*d = %d", ErrBadDataset, len(vals), n*d)
+		return nil, fmt.Errorf("%w: flat input has %d values, want n*d = %d", ErrBadDataset, len(vals), n*d)
 	}
 	if d > point.MaxDims {
-		return fmt.Errorf("%w: at most %d dimensions supported, got %d", ErrBadDataset, point.MaxDims, d)
+		return nil, fmt.Errorf("%w: at most %d dimensions supported, got %d", ErrBadDataset, point.MaxDims, d)
 	}
 	for i, v := range vals {
 		if !point.Finite(v) {
-			return fmt.Errorf("%w: point %d has non-finite value %v on dimension %d", ErrBadDataset, i/d, v, i%d)
+			return nil, fmt.Errorf("%w: point %d has non-finite value %v on dimension %d", ErrBadDataset, i/d, v, i%d)
 		}
 	}
-	return nil
+	return &Dataset{vals: vals, n: n, d: d}, nil
 }
 
 // N returns the number of points.

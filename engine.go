@@ -82,9 +82,6 @@ func (e *Engine) Close() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.closed = true
-	for _, ec := range e.free {
-		ec.core.Close()
-	}
 	e.free = nil
 	if e.pool != nil {
 		e.pool.Close()
@@ -110,7 +107,7 @@ func (e *Engine) acquire() (*engineCtx, error) {
 	if e.pool == nil {
 		e.pool = par.NewPool(e.threads)
 	}
-	return &engineCtx{core: core.NewContextShared(e.pool)}, nil
+	return &engineCtx{core: core.NewContext(e.pool)}, nil
 }
 
 // Prewarm pre-creates n computation contexts on the free-list so a
@@ -147,11 +144,9 @@ func (e *Engine) checkOpen() error {
 func (e *Engine) release(ec *engineCtx) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.closed {
-		ec.core.Close()
-		return
+	if !e.closed {
+		e.free = append(e.free, ec)
 	}
-	e.free = append(e.free, ec)
 }
 
 // Run answers one query over ds. Result.Indices are positions in ds
@@ -219,11 +214,9 @@ func (e *Engine) exec(ctx context.Context, ds *Dataset, q Query) (Result, error)
 			// partial heaps, the shared pool's region bookkeeping) torn,
 			// and a poisoned context handed to the next query would turn
 			// one contained failure into silent corruption.
-			if ec.poisoned {
-				ec.core.Close()
-				return
+			if !ec.poisoned {
+				e.release(ec)
 			}
-			e.release(ec)
 		}()
 	} else if err := e.checkOpen(); err != nil {
 		return Result{}, err

@@ -10,32 +10,60 @@ import (
 	"skybench"
 )
 
-// TestEngineMatchesCompute cross-checks Engine.Run against the legacy
-// one-shot path for the hot-path algorithms and a baseline, reusing one
-// Engine across differently-shaped queries so the free-list sees
-// shrinking and growing workloads.
+func contextTestData(t testing.TB, n, d int) [][]float64 {
+	t.Helper()
+	data, err := skybench.GenerateDataset("independent", n, d, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+func sameIndexSet(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	seen := make(map[int]bool, len(a))
+	for _, v := range a {
+		seen[v] = true
+	}
+	for _, v := range b {
+		if !seen[v] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestEngineMatchesCompute cross-checks a reused Engine against the
+// one-shot path (a fresh Engine per query) for the hot-path algorithms
+// and a baseline, on both result paths (caller-owned and ReuseIndices),
+// reusing one Engine across differently-shaped queries so the free-list
+// sees shrinking and growing workloads.
 func TestEngineMatchesCompute(t *testing.T) {
 	eng := skybench.NewEngine(4)
 	defer eng.Close()
 	ctx := context.Background()
 	for _, alg := range []skybench.Algorithm{skybench.Hybrid, skybench.QFlow, skybench.SFS} {
-		for _, n := range []int{1, 100, 5000} {
-			data := contextTestData(t, n, 6)
-			want, err := skybench.Compute(data, skybench.Options{Algorithm: alg, Threads: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ds, err := skybench.NewDataset(data)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := eng.Run(ctx, ds, skybench.Query{Algorithm: alg})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameIndexSet(got.Indices, want.Indices) {
-				t.Fatalf("alg=%s n=%d: engine selects %d points, one-shot selects %d",
-					alg, n, len(got.Indices), len(want.Indices))
+		for _, reuse := range []bool{false, true} {
+			for _, n := range []int{1, 100, 5000} {
+				data := contextTestData(t, n, 6)
+				want, err := runOnce(data, skybench.Query{Algorithm: alg, Threads: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ds, err := skybench.NewDataset(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := eng.Run(ctx, ds, skybench.Query{Algorithm: alg, ReuseIndices: reuse})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameIndexSet(got.Indices, want.Indices) {
+					t.Fatalf("alg=%s reuse=%v n=%d: engine selects %d points, one-shot selects %d",
+						alg, reuse, n, len(got.Indices), len(want.Indices))
+				}
 			}
 		}
 	}
@@ -43,7 +71,7 @@ func TestEngineMatchesCompute(t *testing.T) {
 
 // prefOracle computes the expected result of a preference query by doing
 // what callers had to do before the v2 API: negate maximized columns,
-// drop ignored ones, and run the legacy minimize-everything Compute.
+// drop ignored ones, and run a minimize-everything one-shot query.
 func prefOracle(t *testing.T, data [][]float64, prefs []skybench.Pref, alg skybench.Algorithm) []int {
 	t.Helper()
 	var rows [][]float64
@@ -59,7 +87,7 @@ func prefOracle(t *testing.T, data [][]float64, prefs []skybench.Pref, alg skybe
 		}
 		rows = append(rows, out)
 	}
-	res, err := skybench.Compute(rows, skybench.Options{Algorithm: alg, Threads: 2})
+	res, err := runOnce(rows, skybench.Query{Algorithm: alg, Threads: 2})
 	if err != nil {
 		t.Fatalf("oracle %s: %v", alg, err)
 	}
@@ -69,7 +97,7 @@ func prefOracle(t *testing.T, data [][]float64, prefs []skybench.Pref, alg skybe
 // TestEnginePrefsOracle is the subspace/maximize cross-check: for every
 // algorithm and each of the paper's three distributions, Engine.Run with
 // Max/Ignore preferences must select exactly the points an oracle finds
-// by negating/projecting columns and running the legacy API.
+// by negating/projecting columns and running a one-shot query.
 func TestEnginePrefsOracle(t *testing.T) {
 	prefs := []skybench.Pref{skybench.Min, skybench.Max, skybench.Ignore, skybench.Min, skybench.Max}
 	eng := skybench.NewEngine(2)
@@ -109,7 +137,7 @@ func TestEngineConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	prefs := []skybench.Pref{skybench.Min, skybench.Max, skybench.Min, skybench.Ignore, skybench.Min}
-	wantPlain, err := skybench.Compute(data, skybench.Options{})
+	wantPlain, err := runOnce(data, skybench.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

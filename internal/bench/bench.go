@@ -9,6 +9,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -103,9 +104,6 @@ func PaperScale() Config {
 	}
 }
 
-// rowsView adapts a matrix to the public API without copying values.
-func rowsView(m point.Matrix) [][]float64 { return m.Rows() }
-
 // Measurement is one timed algorithm run.
 type Measurement struct {
 	Algorithm skybench.Algorithm
@@ -114,21 +112,28 @@ type Measurement struct {
 	Stats     skybench.Stats
 }
 
-// Run executes one algorithm over m, averaging cfg.Reps repetitions.
-func (cfg Config) Run(alg skybench.Algorithm, m point.Matrix, threads int, extra func(*skybench.Options)) Measurement {
+// Run executes one algorithm over m, averaging cfg.Reps repetitions on
+// a fresh Engine of the given thread budget (closed afterwards, so no
+// experiment inherits another's warm scratch).
+func (cfg Config) Run(alg skybench.Algorithm, m point.Matrix, threads int, extra func(*skybench.Query)) Measurement {
 	reps := cfg.Reps
 	if reps < 1 {
 		reps = 1
 	}
-	opt := skybench.Options{Algorithm: alg, Threads: threads}
+	q := skybench.Query{Algorithm: alg, Threads: threads}
 	if extra != nil {
-		extra(&opt)
+		extra(&q)
 	}
-	rows := rowsView(m)
+	ds, err := skybench.DatasetFromFlat(m.Flat(), m.N(), m.D())
+	if err != nil {
+		panic(fmt.Sprintf("bench: %s dataset: %v", alg, err))
+	}
+	eng := skybench.NewEngine(threads)
+	defer eng.Close()
 	var total time.Duration
 	var last skybench.Result
 	for r := 0; r < reps; r++ {
-		res, err := skybench.Compute(rows, opt)
+		res, err := eng.Run(context.Background(), ds, q)
 		if err != nil {
 			panic(fmt.Sprintf("bench: %s failed: %v", alg, err))
 		}

@@ -117,7 +117,7 @@ func (cfg Config) Fig7(w io.Writer) {
 	for _, dist := range dataset.AllDistributions {
 		m := cfg.gen(dist, cfg.N, cfg.D)
 		for _, alpha := range alphaSweepQFlow {
-			r := cfg.Run(skybench.QFlow, m, cfg.MaxThreads, func(o *skybench.Options) { o.Alpha = alpha })
+			r := cfg.Run(skybench.QFlow, m, cfg.MaxThreads, func(q *skybench.Query) { q.Alpha = alpha })
 			tm := r.Stats.Timings
 			other := tm.Compress + tm.Other
 			fmt.Fprintf(w, "%-16s alpha=2^%-2d %10s %10s %10s %10s %10s\n",
@@ -139,7 +139,7 @@ func (cfg Config) Fig8(w io.Writer) {
 	for _, dist := range dataset.AllDistributions {
 		m := cfg.gen(dist, cfg.N, cfg.D)
 		for _, alpha := range alphaSweepQFlow {
-			r := cfg.Run(skybench.Hybrid, m, cfg.MaxThreads, func(o *skybench.Options) { o.Alpha = alpha })
+			r := cfg.Run(skybench.Hybrid, m, cfg.MaxThreads, func(q *skybench.Query) { q.Alpha = alpha })
 			tm := r.Stats.Timings
 			fmt.Fprintf(w, "%-16s alpha=2^%-2d %9s %9s %9s %9s %9s %9s %9s %9s\n",
 				dist, log2(alpha), ms(tm.Init), ms(tm.Prefilter), ms(tm.Pivot),
@@ -169,10 +169,10 @@ func (cfg Config) Fig9(w io.Writer) {
 		for _, alpha := range pivotAlphaSweep {
 			fmt.Fprintf(w, "%-16s %8d", dist, alpha)
 			for _, p := range pivots {
-				r := cfg.Run(skybench.Hybrid, m, cfg.MaxThreads, func(o *skybench.Options) {
-					o.Alpha = alpha
-					o.Pivot = p
-					o.Seed = cfg.Seed
+				r := cfg.Run(skybench.Hybrid, m, cfg.MaxThreads, func(q *skybench.Query) {
+					q.Alpha = alpha
+					q.Pivot = p
+					q.Seed = cfg.Seed
 				})
 				fmt.Fprintf(w, " %12s", ms(r.Elapsed))
 			}

@@ -104,7 +104,7 @@ func (cfg Config) Ablations(w io.Writer) {
 	for _, dist := range dataset.AllDistributions {
 		m := cfg.gen(dist, cfg.N, cfg.D)
 		for _, v := range variants {
-			r := cfg.Run(skybench.Hybrid, m, cfg.MaxThreads, func(o *skybench.Options) { o.Ablation = v.ab })
+			r := cfg.Run(skybench.Hybrid, m, cfg.MaxThreads, func(q *skybench.Query) { q.Ablation = v.ab })
 			fmt.Fprintf(w, "%-16s %-14s %12s %16d %12d\n",
 				dist, v.name, ms(r.Elapsed), r.Stats.DominanceTests, r.Stats.SkylineSize)
 		}

@@ -9,24 +9,22 @@ import (
 	"skybench/internal/stats"
 )
 
-// Context holds everything Hybrid and Q-Flow need across runs: a
-// persistent worker pool, per-thread dominance-test counters, and every
-// scratch array the algorithms previously reallocated per call (L1 norms,
-// masks, sort keys and permutations, block flags, the gathered working
-// matrix, the global-skyline storage, radix-sort histograms, and the
-// pre-filter's queues). After a warm-up call with a given workload shape,
-// repeated Hybrid/QFlow calls perform zero steady-state allocations —
-// the property a server answering millions of skyline queries needs.
+// Context holds everything Hybrid and Q-Flow need across runs: the
+// worker pool its parallel regions run on, per-thread dominance-test
+// counters, and every scratch array the algorithms previously reallocated
+// per call (L1 norms, masks, sort keys and permutations, block flags, the
+// gathered working matrix, the global-skyline storage, radix-sort
+// histograms, and the pre-filter's queues). After a warm-up call with a
+// given workload shape, repeated Hybrid/QFlow calls perform zero
+// steady-state allocations — the property a server answering millions of
+// skyline queries needs.
 //
-// A Context is not safe for concurrent use; create one per worker.
-// Results returned by Hybrid/QFlow alias Context storage and are valid
-// until the next call on the same Context. Close releases the worker
-// pool (contexts are also cleaned up by the garbage collector if
-// forgotten).
+// A Context is not safe for concurrent use; create one per in-flight
+// query. Results returned by Hybrid/QFlow alias Context storage and are
+// valid until the next call on the same Context.
 type Context struct {
 	pool   *par.Pool
-	shared bool // pool is caller-owned: never resized or closed here
-	tEff   int  // effective thread count of the current run
+	tEff   int // effective thread count of the current run
 	cancel *atomic.Bool
 	dts    *stats.DTCounters
 	pf     *prefilter.Runner
@@ -95,11 +93,14 @@ type Context struct {
 	runBody    func(i int)
 }
 
-// NewContext creates an empty Context. The worker pool is created lazily
-// on the first run (sized to that run's thread count) and resized only
-// when the requested thread count changes.
-func NewContext() *Context {
-	c := &Context{pf: prefilter.NewRunner()}
+// NewContext creates a Context whose parallel regions run on p, which
+// may concurrently serve other Contexts (Pool dispatches serialize
+// internally). The Context does not own the pool — the caller closes it
+// — and requested thread counts are capped at the pool's size. This is
+// what lets an Engine keep a free-list of Contexts over one worker pool
+// instead of one pool per concurrent query.
+func NewContext(p *par.Pool) *Context {
+	c := &Context{pool: p, pf: prefilter.NewRunner()}
 	c.l1Body = c.runL1
 	c.gatherBody = c.runGather
 	c.maskBody = c.runMask
@@ -118,47 +119,11 @@ func NewContext() *Context {
 	return c
 }
 
-// NewContextShared creates a Context whose parallel regions run on the
-// caller's pool, which may concurrently serve other Contexts (Pool
-// dispatches serialize internally). The Context does not own the pool:
-// Close leaves it open, and requested thread counts are capped at the
-// pool's size. This is what lets an Engine keep a free-list of Contexts
-// over one worker pool instead of one pool per concurrent query.
-func NewContextShared(p *par.Pool) *Context {
-	c := NewContext()
-	c.pool = p
-	c.shared = true
-	return c
-}
-
-// Close releases the Context's worker pool unless the pool is shared
-// (NewContextShared), in which case the owner closes it. The Context must
-// not be used afterwards.
-func (c *Context) Close() {
-	if c.pool != nil && !c.shared {
-		c.pool.Close()
-	}
-	c.pool = nil
-}
-
-// ensure (re)creates the pool and counters for the requested thread
-// count and records the effective thread count of the run (a shared pool
-// is never resized, so the request is capped at its size).
+// ensure sizes the counters for the requested thread count (≤ 0 or
+// above the pool's size selects the pool's size) and records the
+// effective thread count of the run.
 func (c *Context) ensure(threads int) {
-	if threads <= 0 {
-		if c.shared {
-			threads = c.pool.Threads()
-		} else {
-			threads = par.DefaultThreads()
-		}
-	}
-	if c.pool == nil {
-		c.pool = par.NewPool(threads)
-	} else if !c.shared && c.pool.Threads() != threads {
-		c.pool.Close()
-		c.pool = par.NewPool(threads)
-	}
-	if pt := c.pool.Threads(); threads > pt {
+	if pt := c.pool.Threads(); threads <= 0 || threads > pt {
 		threads = pt
 	}
 	c.tEff = threads

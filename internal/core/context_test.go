@@ -13,14 +13,13 @@ import (
 // and checks every result against a fresh throwaway run — scratch reuse
 // must never leak state between runs.
 func TestContextHybridMatchesFresh(t *testing.T) {
-	c := NewContext()
-	defer c.Close()
+	c := newTestContext(t, 4)
 	for _, dist := range dataset.AllDistributions {
 		for _, n := range []int{50, 1000, 3000} {
 			for _, d := range []int{2, 5, 8, 12} {
 				m := dataset.Generate(dist, n, d, int64(n+d))
 				got := c.Hybrid(m, HybridOptions{Threads: 4})
-				want := Hybrid(m, HybridOptions{Threads: 4})
+				want := hybrid(m, HybridOptions{Threads: 4})
 				if !verify.SameSkyline(got, want) {
 					t.Fatalf("%s n=%d d=%d: context result diverges from fresh run", dist, n, d)
 				}
@@ -35,8 +34,7 @@ func TestContextHybridMatchesFresh(t *testing.T) {
 // TestContextQFlowMatchesFresh is the same check for Q-Flow, including
 // the L1 output-order contract.
 func TestContextQFlowMatchesFresh(t *testing.T) {
-	c := NewContext()
-	defer c.Close()
+	c := newTestContext(t, 4)
 	for _, dist := range dataset.AllDistributions {
 		for _, n := range []int{50, 1000, 3000} {
 			m := dataset.Generate(dist, n, 6, int64(n))
@@ -57,16 +55,19 @@ func TestContextQFlowMatchesFresh(t *testing.T) {
 }
 
 // TestContextThreadResize checks that a Context survives thread-count
-// changes between runs (the pool is rebuilt transparently).
+// changes between runs: each run uses the requested share of the pool
+// (capped at its size), and the per-thread counters grow to match.
 func TestContextThreadResize(t *testing.T) {
-	c := NewContext()
-	defer c.Close()
+	c := newTestContext(t, 8)
 	m := dataset.Generate(dataset.Anticorrelated, 2000, 7, 3)
-	want := Hybrid(m, HybridOptions{Threads: 1})
-	for _, threads := range []int{1, 4, 2, 8, 3} {
+	want := hybrid(m, HybridOptions{Threads: 1})
+	for _, threads := range []int{1, 4, 2, 8, 3, 16} {
 		got := c.Hybrid(m, HybridOptions{Threads: threads})
 		if !verify.SameSkyline(got, want) {
-			t.Fatalf("threads=%d: result diverges after pool resize", threads)
+			t.Fatalf("threads=%d: result diverges after a thread-count change", threads)
+		}
+		if wantT := min(threads, 8); c.tEff != wantT {
+			t.Fatalf("threads=%d: ran on %d workers, want %d", threads, c.tEff, wantT)
 		}
 	}
 }
@@ -76,8 +77,7 @@ func TestContextThreadResize(t *testing.T) {
 // perform zero allocations.
 func TestContextZeroAlloc(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 20000, 8, 42)
-	c := NewContext()
-	defer c.Close()
+	c := newTestContext(t, 4)
 
 	opt := HybridOptions{Threads: 4}
 	c.Hybrid(m, opt) // warm scratch
@@ -95,8 +95,7 @@ func TestContextZeroAlloc(t *testing.T) {
 // TestRadixSortIdx cross-checks the parallel radix sort against the
 // expected stable order on random keys.
 func TestRadixSortIdx(t *testing.T) {
-	c := NewContext()
-	defer c.Close()
+	c := newTestContext(t, 4)
 	c.ensure(4)
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{1, 2, 17, 1000, 10000} {

@@ -4,18 +4,50 @@ import (
 	"testing"
 
 	"skybench/internal/dataset"
+	"skybench/internal/par"
 	"skybench/internal/pivot"
 	"skybench/internal/point"
 	"skybench/internal/stats"
 	"skybench/internal/verify"
 )
 
+// testPool returns a worker pool of the given size (≤ 0 selects all
+// usable CPUs).
+func testPool(threads int) *par.Pool {
+	if threads <= 0 {
+		threads = par.DefaultThreads()
+	}
+	return par.NewPool(threads)
+}
+
+// newTestContext returns a Context over a fresh pool of the given size;
+// the pool is closed when the test ends.
+func newTestContext(t testing.TB, threads int) *Context {
+	p := testPool(threads)
+	t.Cleanup(p.Close)
+	return NewContext(p)
+}
+
+// hybrid and qflow run one computation on a throwaway Context whose pool
+// is sized to opt.Threads — the one-shot runs the tests compare against.
+func hybrid(m point.Matrix, opt HybridOptions) []int {
+	p := testPool(opt.Threads)
+	defer p.Close()
+	return NewContext(p).Hybrid(m, opt)
+}
+
+func qflow(m point.Matrix, opt QFlowOptions) []int {
+	p := testPool(opt.Threads)
+	defer p.Close()
+	return NewContext(p).QFlow(m, opt)
+}
+
 func TestQFlowMatchesOracle(t *testing.T) {
 	for _, dist := range dataset.AllDistributions {
 		for _, threads := range []int{1, 2, 4} {
 			for _, n := range []int{1, 2, 100, 700} {
 				m := dataset.Generate(dist, n, 5, int64(n+threads))
-				got := QFlow(m, QFlowOptions{Threads: threads, Alpha: 64})
+				got := qflow(m, QFlowOptions{Threads: threads, Alpha: 64})
 				if !verify.SameSkyline(got, verify.BruteForce(m)) {
 					t.Fatalf("QFlow %v t=%d n=%d: wrong skyline", dist, threads, n)
 				}
@@ -29,7 +61,7 @@ func TestHybridMatchesOracle(t *testing.T) {
 		for _, threads := range []int{1, 2, 4} {
 			for _, n := range []int{1, 2, 100, 700} {
 				m := dataset.Generate(dist, n, 5, int64(2*n+threads))
-				got := Hybrid(m, HybridOptions{Threads: threads, Alpha: 64})
+				got := hybrid(m, HybridOptions{Threads: threads, Alpha: 64})
 				if !verify.SameSkyline(got, verify.BruteForce(m)) {
 					t.Fatalf("Hybrid %v t=%d n=%d: wrong skyline", dist, threads, n)
 				}
@@ -42,7 +74,7 @@ func TestHybridAlphaSweep(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 1500, 6, 3)
 	want := verify.BruteForce(m)
 	for _, alpha := range []int{1, 2, 7, 64, 1024, 4096} {
-		got := Hybrid(m, HybridOptions{Threads: 2, Alpha: alpha})
+		got := hybrid(m, HybridOptions{Threads: 2, Alpha: alpha})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("alpha=%d: wrong skyline", alpha)
 		}
@@ -53,7 +85,7 @@ func TestQFlowAlphaSweep(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 1500, 6, 4)
 	want := verify.BruteForce(m)
 	for _, alpha := range []int{1, 3, 128, 1 << 13} {
-		got := QFlow(m, QFlowOptions{Threads: 3, Alpha: alpha})
+		got := qflow(m, QFlowOptions{Threads: 3, Alpha: alpha})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("alpha=%d: wrong skyline", alpha)
 		}
@@ -64,7 +96,7 @@ func TestHybridAllPivotStrategies(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 1000, 5, 8)
 	want := verify.BruteForce(m)
 	for _, s := range pivot.AllStrategies {
-		got := Hybrid(m, HybridOptions{Threads: 2, Pivot: s, Seed: 42})
+		got := hybrid(m, HybridOptions{Threads: 2, Pivot: s, Seed: 42})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("pivot=%v: wrong skyline", s)
 		}
@@ -84,17 +116,17 @@ func TestHybridAblations(t *testing.T) {
 	for i, opt := range cases {
 		opt.Threads = 2
 		opt.Alpha = 128
-		if !verify.SameSkyline(Hybrid(m, opt), want) {
+		if !verify.SameSkyline(hybrid(m, opt), want) {
 			t.Fatalf("ablation case %d (%+v): wrong skyline", i, opt)
 		}
 	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if got := QFlow(point.Matrix{}, QFlowOptions{}); got != nil {
+	if got := qflow(point.Matrix{}, QFlowOptions{}); got != nil {
 		t.Errorf("QFlow empty: %v", got)
 	}
-	if got := Hybrid(point.Matrix{}, HybridOptions{}); got != nil {
+	if got := hybrid(point.Matrix{}, HybridOptions{}); got != nil {
 		t.Errorf("Hybrid empty: %v", got)
 	}
 }
@@ -103,10 +135,10 @@ func TestDuplicateHeavyInputs(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 900, 4, 6)
 	dataset.Quantize(m, 4)
 	want := verify.BruteForce(m)
-	if !verify.SameSkyline(QFlow(m, QFlowOptions{Threads: 2, Alpha: 64}), want) {
+	if !verify.SameSkyline(qflow(m, QFlowOptions{Threads: 2, Alpha: 64}), want) {
 		t.Fatal("QFlow wrong on quantized data")
 	}
-	if !verify.SameSkyline(Hybrid(m, HybridOptions{Threads: 2, Alpha: 64}), want) {
+	if !verify.SameSkyline(hybrid(m, HybridOptions{Threads: 2, Alpha: 64}), want) {
 		t.Fatal("Hybrid wrong on quantized data")
 	}
 }
@@ -117,10 +149,10 @@ func TestAllCoincidentPoints(t *testing.T) {
 		rows[i] = []float64{3, 1, 4}
 	}
 	m := point.FromRows(rows)
-	if got := Hybrid(m, HybridOptions{Alpha: 8}); len(got) != 50 {
+	if got := hybrid(m, HybridOptions{Alpha: 8}); len(got) != 50 {
 		t.Fatalf("coincident input: kept %d of 50", len(got))
 	}
-	if got := QFlow(m, QFlowOptions{Alpha: 8}); len(got) != 50 {
+	if got := qflow(m, QFlowOptions{Alpha: 8}); len(got) != 50 {
 		t.Fatalf("QFlow coincident input: kept %d of 50", len(got))
 	}
 }
@@ -128,8 +160,8 @@ func TestAllCoincidentPoints(t *testing.T) {
 func TestStatsPopulated(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 2000, 6, 7)
 	var qs, hs stats.Stats
-	QFlow(m, QFlowOptions{Threads: 2, Stats: &qs})
-	Hybrid(m, HybridOptions{Threads: 2, Stats: &hs})
+	qflow(m, QFlowOptions{Threads: 2, Stats: &qs})
+	hybrid(m, HybridOptions{Threads: 2, Stats: &hs})
 	if qs.DominanceTests == 0 || hs.DominanceTests == 0 {
 		t.Error("DTs not recorded")
 	}
@@ -149,8 +181,8 @@ func TestStatsPopulated(t *testing.T) {
 func TestHybridDoesFewerDTsThanQFlow(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 4000, 8, 11)
 	var qs, hs stats.Stats
-	QFlow(m, QFlowOptions{Threads: 1, Stats: &qs})
-	Hybrid(m, HybridOptions{Threads: 1, Stats: &hs})
+	qflow(m, QFlowOptions{Threads: 1, Stats: &qs})
+	hybrid(m, HybridOptions{Threads: 1, Stats: &hs})
 	if hs.DominanceTests >= qs.DominanceTests {
 		t.Errorf("Hybrid DTs (%d) not below Q-Flow DTs (%d)", hs.DominanceTests, qs.DominanceTests)
 	}
@@ -164,7 +196,7 @@ func TestAblationsIncreaseDTs(t *testing.T) {
 		var st stats.Stats
 		opt.Threads = 1
 		opt.Stats = &st
-		Hybrid(m, opt)
+		hybrid(m, opt)
 		return st.DominanceTests
 	}
 	full := run(HybridOptions{})
@@ -181,7 +213,7 @@ func TestAblationsIncreaseDTs(t *testing.T) {
 func TestProgressiveReporting(t *testing.T) {
 	m := dataset.Generate(dataset.Independent, 2000, 5, 9)
 	var batches [][]int
-	got := Hybrid(m, HybridOptions{
+	got := hybrid(m, HybridOptions{
 		Threads: 2,
 		Alpha:   128,
 		Progressive: func(confirmed []int) {
@@ -203,7 +235,7 @@ func TestProgressiveReporting(t *testing.T) {
 
 func TestQFlowProgressiveOrderIsL1Sorted(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 1000, 4, 14)
-	got := QFlow(m, QFlowOptions{Threads: 2, Alpha: 64})
+	got := qflow(m, QFlowOptions{Threads: 2, Alpha: 64})
 	last := -1.0
 	for _, i := range got {
 		l1 := point.L1(m.Row(i))
@@ -216,9 +248,9 @@ func TestQFlowProgressiveOrderIsL1Sorted(t *testing.T) {
 
 func TestHybridThreadInvariance(t *testing.T) {
 	m := dataset.Generate(dataset.Anticorrelated, 2500, 7, 15)
-	want := Hybrid(m, HybridOptions{Threads: 1})
+	want := hybrid(m, HybridOptions{Threads: 1})
 	for _, threads := range []int{2, 3, 8} {
-		got := Hybrid(m, HybridOptions{Threads: threads})
+		got := hybrid(m, HybridOptions{Threads: threads})
 		if !verify.SameSkyline(got, want) {
 			t.Fatalf("t=%d disagrees with t=1", threads)
 		}
@@ -231,5 +263,5 @@ func TestHybridTooManyDimsPanics(t *testing.T) {
 			t.Fatal("expected panic for d > MaxDims")
 		}
 	}()
-	Hybrid(point.NewMatrix(4, 32), HybridOptions{})
+	hybrid(point.NewMatrix(4, 32), HybridOptions{})
 }

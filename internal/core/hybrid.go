@@ -16,9 +16,11 @@ import (
 const DefaultAlphaHybrid = 1 << 10
 
 // HybridOptions configures a Hybrid run. The zero value selects
-// GOMAXPROCS threads, the paper's default α, β, and the Median pivot.
+// every thread of the Context's pool, the paper's default α, β, and the
+// Median pivot.
 type HybridOptions struct {
-	// Threads is the number of worker goroutines (≤ 0 means GOMAXPROCS).
+	// Threads is the number of workers (≤ 0 or above the pool's size
+	// means the pool's size).
 	Threads int
 	// Alpha is the block size α (≤ 0 selects DefaultAlphaHybrid).
 	Alpha int
@@ -54,17 +56,6 @@ type HybridOptions struct {
 	// the run abandons its remaining work and returns an unspecified
 	// partial result, which the caller must discard.
 	Cancel *atomic.Bool
-}
-
-// Hybrid computes SKY(m) with the paper's full Hybrid algorithm and
-// returns original row indices in confirmation order. It is a convenience
-// wrapper that runs a throwaway Context; services answering repeated
-// queries should hold a Context and call its Hybrid method, which reuses
-// all scratch state.
-func Hybrid(m point.Matrix, opt HybridOptions) []int {
-	c := NewContext()
-	defer c.Close()
-	return c.Hybrid(m, opt)
 }
 
 // Hybrid computes SKY(m) with the paper's full Hybrid algorithm and

@@ -32,7 +32,7 @@ func TestHybridPropertyOracle(t *testing.T) {
 		m := randomGridMatrix(rng)
 		alpha := 1 + int(alphaRaw)%97
 		threads := 1 + int(threadsRaw)%5
-		got := Hybrid(m, HybridOptions{Threads: threads, Alpha: alpha})
+		got := hybrid(m, HybridOptions{Threads: threads, Alpha: alpha})
 		return verify.IsSkyline(m, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -47,7 +47,7 @@ func TestQFlowPropertyOracle(t *testing.T) {
 		m := randomGridMatrix(rng)
 		alpha := 1 + int(alphaRaw)%97
 		threads := 1 + int(threadsRaw)%5
-		got := QFlow(m, QFlowOptions{Threads: threads, Alpha: alpha})
+		got := qflow(m, QFlowOptions{Threads: threads, Alpha: alpha})
 		return verify.IsSkyline(m, got)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -93,7 +93,7 @@ func TestHybridDTUpperBoundProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomGridMatrix(rng)
 		var st stats.Stats
-		Hybrid(m, HybridOptions{Threads: 2, Alpha: 16, Stats: &st})
+		hybrid(m, HybridOptions{Threads: 2, Alpha: 16, Stats: &st})
 		n := uint64(m.N())
 		if n <= 1 {
 			return st.DominanceTests == 0

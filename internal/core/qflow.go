@@ -17,9 +17,10 @@ import (
 const DefaultAlphaQFlow = 1 << 13
 
 // QFlowOptions configures a Q-Flow run. The zero value selects
-// GOMAXPROCS threads and the paper's default α.
+// every thread of the Context's pool and the paper's default α.
 type QFlowOptions struct {
-	// Threads is the number of worker goroutines (≤ 0 means GOMAXPROCS).
+	// Threads is the number of workers (≤ 0 or above the pool's size
+	// means the pool's size).
 	Threads int
 	// Alpha is the block size α (≤ 0 selects DefaultAlphaQFlow).
 	Alpha int
@@ -40,16 +41,6 @@ type QFlowOptions struct {
 	// ≤ 1 select the plain skyline path, which is bit-identical to a
 	// zero SkybandK.
 	SkybandK int
-}
-
-// QFlow computes SKY(m) with the Q-Flow algorithm (Algorithm 1) and
-// returns original row indices in confirmation (L1) order. It runs a
-// throwaway Context; services answering repeated queries should hold a
-// Context and call its QFlow method, which reuses all scratch state.
-func QFlow(m point.Matrix, opt QFlowOptions) []int {
-	c := NewContext()
-	defer c.Close()
-	return c.QFlow(m, opt)
 }
 
 // QFlow computes SKY(m) with the Q-Flow algorithm (Algorithm 1) and

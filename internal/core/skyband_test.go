@@ -22,8 +22,7 @@ func checkBand(t *testing.T, m point.Matrix, k int, idx []int, counts []int32, l
 }
 
 func TestHybridSkybandMatchesOracle(t *testing.T) {
-	c := NewContext()
-	defer c.Close()
+	c := newTestContext(t, 4)
 	for _, dist := range dataset.AllDistributions {
 		for _, d := range []int{2, 4, 7, 8} {
 			for _, n := range []int{1, 17, 400, 1500} {
@@ -51,8 +50,7 @@ func TestHybridSkybandMatchesOracle(t *testing.T) {
 }
 
 func TestQFlowSkybandMatchesOracle(t *testing.T) {
-	c := NewContext()
-	defer c.Close()
+	c := newTestContext(t, 4)
 	for _, dist := range dataset.AllDistributions {
 		for _, d := range []int{2, 5, 8} {
 			for _, n := range []int{1, 17, 400, 1500} {
@@ -76,8 +74,7 @@ func TestQFlowSkybandMatchesOracle(t *testing.T) {
 // TestHybridSkybandAblations drives every ablation through the counting
 // path: each combination must still produce the exact k-skyband.
 func TestHybridSkybandAblations(t *testing.T) {
-	c := NewContext()
-	defer c.Close()
+	c := newTestContext(t, 2)
 	m := dataset.Generate(dataset.Anticorrelated, 600, 6, 3)
 	for _, abl := range []HybridOptions{
 		{NoPrefilter: true},
@@ -98,9 +95,7 @@ func TestHybridSkybandAblations(t *testing.T) {
 // TestSkybandK1BitIdentical locks the promise that SkybandK ≤ 1 runs the
 // untouched skyline path: same indices in the same order as a plain run.
 func TestSkybandK1BitIdentical(t *testing.T) {
-	a, b := NewContext(), NewContext()
-	defer a.Close()
-	defer b.Close()
+	a, b := newTestContext(t, 2), newTestContext(t, 2)
 	for _, dist := range dataset.AllDistributions {
 		m := dataset.Generate(dist, 3000, 8, 21)
 		plainH := append([]int(nil), a.Hybrid(m, HybridOptions{Threads: 2})...)

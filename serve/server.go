@@ -390,17 +390,31 @@ func writeError(w http.ResponseWriter, obs *observation, err error) {
 	writeJSON(w, status, ErrorBody{Error: ErrorInfo{Code: code, Message: err.Error()}})
 }
 
+// maxBodyBytes caps a request body. Legitimate bodies — queries,
+// attach specs, insert batches of a few thousand points — are orders of
+// magnitude smaller; the cap only stops a client from making the server
+// buffer unbounded input.
+const maxBodyBytes = 64 << 20
+
 // decodeJSON decodes the request body into v; an empty body leaves v at
-// its zero value.
-func decodeJSON(r *http.Request, v any) error {
+// its zero value. A body over maxBodyBytes is rejected with ErrBadQuery:
+// before it is read when its declared length says so, otherwise as soon
+// as reading passes the cap.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	if r.Body == nil {
 		return nil
 	}
-	err := json.NewDecoder(r.Body).Decode(v)
-	if err == nil || errors.Is(err, io.EOF) {
-		return nil
+	if r.ContentLength <= maxBodyBytes {
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+		if err == nil || errors.Is(err, io.EOF) {
+			return nil
+		}
+		var tooLarge *http.MaxBytesError
+		if !errors.As(err, &tooLarge) {
+			return fmt.Errorf("%w: malformed JSON body: %v", skybench.ErrBadQuery, err)
+		}
 	}
-	return fmt.Errorf("%w: malformed JSON body: %v", skybench.ErrBadQuery, err)
+	return fmt.Errorf("%w: request body exceeds %d bytes", skybench.ErrBadQuery, maxBodyBytes)
 }
 
 // requestCtx applies the wire deadline header, when present, to the
@@ -429,7 +443,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, obs *observ
 		return
 	}
 	var req QueryRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, obs, err)
 		return
 	}
@@ -579,7 +593,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request, obs *obser
 		return
 	}
 	var req InsertRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, obs, err)
 		return
 	}
@@ -628,7 +642,7 @@ func (s *Server) handleDeletePoint(w http.ResponseWriter, r *http.Request, obs *
 func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request, obs *observation) {
 	name := r.PathValue("name")
 	var req AttachRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, obs, err)
 		return
 	}

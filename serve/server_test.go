@@ -6,8 +6,10 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -274,6 +276,59 @@ func TestErrorMappingOverWire(t *testing.T) {
 
 	err = c.Drop(ctx, "nope")
 	check("drop unknown", err, http.StatusNotFound, skybench.ErrUnknownCollection)
+}
+
+// spaceBody is a request body of n spaces, produced on demand so an
+// oversized body costs no memory; read counts the bytes consumed.
+type spaceBody struct{ n, read int64 }
+
+func (b *spaceBody) Read(p []byte) (int, error) {
+	if b.n == 0 {
+		return 0, io.EOF
+	}
+	k := min(int64(len(p)), b.n)
+	for i := range p[:k] {
+		p[i] = ' '
+	}
+	b.n -= k
+	b.read += k
+	return int(k), nil
+}
+
+// TestOversizedBodyRejected: a request body over the server's 64 MiB
+// cap is refused with a typed bad_query 400 — before it is read — and
+// ordinary inserts keep working.
+func TestOversizedBodyRejected(t *testing.T) {
+	srv, c := newTestServer(t, skybench.StoreOptions{Threads: 2}, serve.Options{})
+	ctx := context.Background()
+	if _, err := c.Attach(ctx, "live", &serve.AttachRequest{Stream: &serve.StreamSpec{D: 2}}); err != nil {
+		t.Fatal(err)
+	}
+
+	const over = 64<<20 + 1
+	body := &spaceBody{n: over}
+	req := httptest.NewRequest(http.MethodPost, "/v1/collections/live/points", body)
+	req.ContentLength = over
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("oversized body: status %d, want 400 (%s)", rec.Code, rec.Body)
+	}
+	var eb serve.ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(serve.SentinelForCode(eb.Error.Code), skybench.ErrBadQuery) {
+		t.Errorf("oversized body: code %q, want bad_query", eb.Error.Code)
+	}
+	if body.read != 0 {
+		t.Errorf("oversized body was read (%d bytes) before being rejected", body.read)
+	}
+
+	ids, err := c.Insert(ctx, "live", [][]float64{{1, 2}, {2, 1}})
+	if err != nil || len(ids) != 2 {
+		t.Fatalf("ordinary insert after the rejection: ids=%v err=%v", ids, err)
+	}
 }
 
 // gateSource is a StreamSource whose materialization blocks until its

@@ -1,6 +1,8 @@
 package skybench_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"skybench"
@@ -21,6 +23,19 @@ func genRows(dist dataset.Distribution, n, d int, seed int64) [][]float64 {
 	return rows
 }
 
+// runOnce answers one query over rows on a fresh Engine whose thread
+// budget is q.Threads — the one-shot pattern for tests that need no
+// Engine reuse.
+func runOnce(rows [][]float64, q skybench.Query) (skybench.Result, error) {
+	ds, err := skybench.NewDataset(rows)
+	if err != nil {
+		return skybench.Result{}, err
+	}
+	eng := skybench.NewEngine(q.Threads)
+	defer eng.Close()
+	return eng.Run(context.Background(), ds, q)
+}
+
 // Every algorithm exposed by the public API must agree with the oracle
 // on every distribution — the central cross-algorithm equivalence test.
 func TestAllAlgorithmsMatchOracle(t *testing.T) {
@@ -28,7 +43,7 @@ func TestAllAlgorithmsMatchOracle(t *testing.T) {
 		rows := genRows(dist, 600, 5, 99)
 		want := verify.BruteForce(point.FromRows(rows))
 		for _, alg := range skybench.Algorithms {
-			res, err := skybench.Compute(rows, skybench.Options{Algorithm: alg, Threads: 3})
+			res, err := runOnce(rows, skybench.Query{Algorithm: alg, Threads: 3})
 			if err != nil {
 				t.Fatalf("%v on %v: %v", alg, dist, err)
 			}
@@ -41,41 +56,31 @@ func TestAllAlgorithmsMatchOracle(t *testing.T) {
 }
 
 func TestComputeEmpty(t *testing.T) {
-	res, err := skybench.Compute(nil, skybench.Options{})
+	res, err := runOnce(nil, skybench.Query{})
 	if err != nil || len(res.Indices) != 0 {
 		t.Fatalf("empty: %v, %v", res.Indices, err)
 	}
 }
 
 func TestComputeValidation(t *testing.T) {
-	if _, err := skybench.Compute([][]float64{{1, 2}, {3}}, skybench.Options{}); err == nil {
+	if _, err := runOnce([][]float64{{1, 2}, {3}}, skybench.Query{}); err == nil {
 		t.Error("ragged input accepted")
 	}
-	if _, err := skybench.Compute([][]float64{{}}, skybench.Options{}); err == nil {
+	if _, err := runOnce([][]float64{{}}, skybench.Query{}); err == nil {
 		t.Error("zero-dimensional input accepted")
 	}
 	wide := make([]float64, 40)
-	if _, err := skybench.Compute([][]float64{wide}, skybench.Options{}); err == nil {
+	if _, err := runOnce([][]float64{wide}, skybench.Query{}); err == nil {
 		t.Error("over-wide input accepted")
 	}
-	if _, err := skybench.Compute([][]float64{{1}}, skybench.Options{Algorithm: skybench.Algorithm(99)}); err == nil {
+	if _, err := runOnce([][]float64{{1}}, skybench.Query{Algorithm: skybench.Algorithm(99)}); err == nil {
 		t.Error("unknown algorithm accepted")
-	}
-}
-
-func TestSkylineConvenience(t *testing.T) {
-	idx, err := skybench.Skyline([][]float64{{1, 2}, {2, 1}, {3, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !verify.SameSkyline(idx, []int{0, 1}) {
-		t.Fatalf("Skyline = %v", idx)
 	}
 }
 
 func TestStatsExposed(t *testing.T) {
 	rows := genRows(dataset.Independent, 3000, 6, 5)
-	res, err := skybench.Compute(rows, skybench.Options{Algorithm: skybench.Hybrid, Threads: 2})
+	res, err := runOnce(rows, skybench.Query{Algorithm: skybench.Hybrid, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +118,7 @@ func TestPivotStrategies(t *testing.T) {
 		skybench.PivotMedian, skybench.PivotBalanced, skybench.PivotManhattan,
 		skybench.PivotVolume, skybench.PivotRandom,
 	} {
-		res, err := skybench.Compute(rows, skybench.Options{Pivot: p, Seed: 11})
+		res, err := runOnce(rows, skybench.Query{Pivot: p, Seed: 11})
 		if err != nil || !verify.SameSkyline(res.Indices, want) {
 			t.Errorf("pivot %v: wrong result (%v)", p, err)
 		}
@@ -123,7 +128,7 @@ func TestPivotStrategies(t *testing.T) {
 func TestProgressiveViaAPI(t *testing.T) {
 	rows := genRows(dataset.Independent, 2000, 5, 3)
 	var streamed []int
-	res, err := skybench.Compute(rows, skybench.Options{
+	res, err := runOnce(rows, skybench.Query{
 		Algorithm: skybench.QFlow,
 		Alpha:     128,
 		Progressive: func(confirmed []int) {
@@ -148,6 +153,25 @@ func TestGenerateDataset(t *testing.T) {
 	}
 }
 
+// TestGenerateDatasetRejectsBadShape: an out-of-range shape is a typed
+// caller error, not a panic inside the generator.
+func TestGenerateDatasetRejectsBadShape(t *testing.T) {
+	for _, tc := range []struct{ n, d int }{
+		{10, 0}, {10, -2}, {10, 32}, {10, 40}, {-1, 3},
+	} {
+		rows, err := skybench.GenerateDataset("independent", tc.n, tc.d, 1)
+		if !errors.Is(err, skybench.ErrBadDataset) || rows != nil {
+			t.Errorf("GenerateDataset(n=%d, d=%d) = %d rows, %v; want ErrBadDataset", tc.n, tc.d, len(rows), err)
+		}
+	}
+	for _, tc := range []struct{ n, d int }{{0, 1}, {1, 31}} {
+		rows, err := skybench.GenerateDataset("independent", tc.n, tc.d, 1)
+		if err != nil || len(rows) != tc.n {
+			t.Errorf("GenerateDataset(n=%d, d=%d) = %d rows, %v", tc.n, tc.d, len(rows), err)
+		}
+	}
+}
+
 func TestDominatesExposed(t *testing.T) {
 	if !skybench.Dominates([]float64{1, 1}, []float64{2, 2}) {
 		t.Error("Dominates broken")
@@ -157,11 +181,11 @@ func TestDominatesExposed(t *testing.T) {
 func TestMaximizationViaNegation(t *testing.T) {
 	// The documented idiom: negate attributes to prefer larger values.
 	rows := [][]float64{{-10, -1}, {-1, -10}, {-5, -5}, {-1, -1}}
-	idx, err := skybench.Skyline(rows)
+	res, err := runOnce(rows, skybench.Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !verify.SameSkyline(idx, []int{0, 1, 2}) {
-		t.Fatalf("maximization: %v", idx)
+	if !verify.SameSkyline(res.Indices, []int{0, 1, 2}) {
+		t.Fatalf("maximization: %v", res.Indices)
 	}
 }
